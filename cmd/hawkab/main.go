@@ -1,25 +1,23 @@
 // Command hawkab compares two hawkbench -stats runs of the same benchmark
-// slice. Its default mode is the CI gate for the incremental architecture
-// — one file with incremental solving sessions (the default) and one with
-// -fresh-encode:
+// slice: a candidate run (typically a build with a compiler change) and a
+// reference run (the build before it, or the checked-in baseline). The
+// comparison answers "did this change alter any outcome, and what did it
+// do to wall time and solver effort":
 //
-//	hawkbench -table 3 -filter Parse -stats incr.json
-//	hawkbench -table 3 -filter Parse -stats fresh.json -fresh-encode
-//	hawkab incr.json fresh.json
-//
-// With -same-mode it is a before/after harness instead: both files come
-// from the same encode mode (typically two builds of the compiler), and
-// the comparison answers "did this change alter any outcome, and what did
-// it do to wall time and solver effort":
-//
-//	hawkab -same-mode before.json after.json
+//	hawkbench -table 3 -filter Parse -workers 1 -stats after.json
+//	hawkab after.json before.json
 //
 // hawkab exits nonzero when the two runs disagree on any compilation
 // outcome — a different OK/failure verdict or a different entry or stage
-// count on any benchmark — or when the first file's total wall time
-// exceeds the second's beyond the tolerance. The verdict table reports
-// the solver-effort movement (conflicts, propagations, learned clauses)
-// alongside the wall-time and CNF-clause comparisons.
+// count on any benchmark — when a sequential record's CNF clauses or
+// conflicts exceed the reference's, or when the candidate's total wall
+// time exceeds the reference's beyond the tolerance. The counter gate
+// covers only records where both runs compiled sequentially (no portfolio
+// workers): the sequential compiler is deterministic, so any movement in
+// its clause or conflict count is a real change, while portfolio counters
+// depend on scheduling. The verdict table reports the solver-effort
+// movement (conflicts, propagations, learned clauses) alongside the
+// wall-time and CNF-clause comparisons.
 package main
 
 import (
@@ -33,14 +31,12 @@ import (
 
 func main() {
 	var (
-		maxSlow  = flag.Float64("max-slowdown", 1.25, "fail when the first file's total seconds exceed the second's times this factor")
-		slack    = flag.Float64("slack", 2.0, "absolute seconds of slowdown always tolerated (absorbs timer noise on fast slices)")
-		minCut   = flag.Float64("min-clause-reduction", 0, "fail when the first run saves fewer than this percentage of CNF clauses (0 disables the gate)")
-		sameMode = flag.Bool("same-mode", false, "compare two runs of the same encode mode (before/after a compiler change) instead of incremental vs fresh-encode")
+		maxSlow = flag.Float64("max-slowdown", 1.25, "fail when the candidate's total seconds exceed the reference's times this factor")
+		slack   = flag.Float64("slack", 2.0, "absolute seconds of slowdown always tolerated (absorbs timer noise on fast slices)")
 	)
 	flag.Parse()
 	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: hawkab [flags] incremental.json fresh.json\n       hawkab -same-mode [flags] before.json after.json")
+		fmt.Fprintln(os.Stderr, "usage: hawkab [flags] candidate.json reference.json")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -53,26 +49,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	aLabel, bLabel := "incremental", "fresh-encode"
-	if *sameMode {
-		aLabel, bLabel = "before", "after"
-		for _, r := range bRuns {
-			if r.FreshEncode != aRuns[0].FreshEncode {
-				fatalf("hawkab: -same-mode: the two files mix encode modes; rerun both with the same -fresh-encode setting")
-			}
-		}
-	} else {
-		for _, r := range aRuns {
-			if r.FreshEncode {
-				fatalf("hawkab: %s: first file contains fresh-encode runs; argument order is incremental.json fresh.json", flag.Arg(0))
-			}
-		}
-		for _, r := range bRuns {
-			if !r.FreshEncode {
-				fatalf("hawkab: %s: second file contains incremental runs; argument order is incremental.json fresh.json", flag.Arg(1))
-			}
-		}
-	}
+	const aLabel, bLabel = "candidate", "reference"
 
 	am, bm := index(aRuns), index(bRuns)
 	var keys []string
@@ -84,7 +61,7 @@ func main() {
 		fatalf("hawkab: run sets differ: %d %s vs %d %s records", len(am), aLabel, len(bm), bLabel)
 	}
 
-	bad := 0
+	bad, grew := 0, 0
 	var aTot, bTot totals
 	for _, k := range keys {
 		a, b := am[k], bm[k]
@@ -101,6 +78,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "hawkab: %s: result changed: %s %d entries/%d stages, %s %d entries/%d stages\n",
 				k, aLabel, a.Entries, a.Stages, bLabel, b.Entries, b.Stages)
 			bad++
+		}
+		if msg := counterGrowth(a, b); msg != "" {
+			fmt.Fprintf(os.Stderr, "hawkab: %s: %s\n", k, msg)
+			grew++
 		}
 		aTot.add(a)
 		bTot.add(b)
@@ -124,14 +105,31 @@ func main() {
 	if bad > 0 {
 		fatalf("hawkab: FAIL: %d run(s) changed outcome between %s and %s", bad, aLabel, bLabel)
 	}
+	if grew > 0 {
+		fatalf("hawkab: FAIL: %d sequential run(s) used more CNF clauses or conflicts than the %s", grew, bLabel)
+	}
 	if aTot.seconds > bTot.seconds**maxSlow+*slack {
 		fatalf("hawkab: FAIL: %s run is %.2fx slower than %s (limit %.2fx + %.1fs slack)",
 			aLabel, ratio(aTot.seconds, bTot.seconds), bLabel, *maxSlow, *slack)
 	}
-	if cut := pctLess(aTot.clauses, bTot.clauses); *minCut > 0 && cut < *minCut {
-		fatalf("hawkab: FAIL: %s run saved only %.1f%% of CNF clauses (gate: %.1f%%)", aLabel, cut, *minCut)
+	fmt.Println("hawkab: OK: identical outcomes, no counter growth, within the time budget")
+}
+
+// counterGrowth reports why candidate record a used more solver effort
+// than reference record b, or "" when it did not. Only records that both
+// ran the sequential compiler are compared: its counters are a
+// deterministic function of (spec, profile, options), while the
+// portfolio's depend on scheduling.
+func counterGrowth(a, b *tables.RunStats) string {
+	if a.Stats.Portfolio.Workers != 0 || b.Stats.Portfolio.Workers != 0 {
+		return ""
 	}
-	fmt.Println("hawkab: OK: identical outcomes, within the time budget")
+	as, bs := a.Stats.Solver, b.Stats.Solver
+	if as.Clauses > bs.Clauses || as.Conflicts > bs.Conflicts {
+		return fmt.Sprintf("solver effort grew: %d clauses/%d conflicts, reference %d clauses/%d conflicts",
+			as.Clauses, as.Conflicts, bs.Clauses, bs.Conflicts)
+	}
+	return ""
 }
 
 // totals accumulates one run set's wall time and solver effort.
@@ -184,13 +182,6 @@ func ratio(a, b float64) float64 {
 		return 0
 	}
 	return a / b
-}
-
-func pctLess(a, b int64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return 100 * float64(b-a) / float64(b)
 }
 
 func fatal(err error) {

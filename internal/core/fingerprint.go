@@ -15,11 +15,8 @@ import "fmt"
 //   - Workers: the portfolio scheduler reproduces the sequential
 //     compiler's verdicts, entry tables, and stage counts at every worker
 //     count (see portfolio.go and the w4-vs-w1 CI identity job).
-//   - FreshEncode: incremental sessions and per-rung re-encoding agree on
-//     every outcome (the ab-smoke CI gate).
-//   - NoExchange / ExhaustPortfolio: measurement toggles; the
-//     authoritative ladders never import clauses, and early termination
-//     only skips work a provably-cheapest result already dominates.
+//   - ExhaustPortfolio: a measurement toggle; early termination only
+//     skips work a provably-cheapest result already dominates.
 //   - Timeout: a deadline decides whether a result arrives, never which
 //     result arrives. Timed-out compilations must not be cached at all.
 //   - QuerySink / Seed-independent instrumentation: observation only.

@@ -81,25 +81,6 @@ type Options struct {
 	// otherwise.
 	ExhaustPortfolio bool
 
-	// FreshEncode disables incremental solving sessions and restores the
-	// old architecture: every entry-budget rung rebuilds a fresh solver,
-	// re-bit-blasts the symbolic entry table, and re-encodes every CEGIS
-	// example accumulated so far (with Opt7, adjacent rungs race in
-	// parallel). Off — the default — one persistent session per skeleton
-	// encodes the table once at the ladder cap and each rung is a solve
-	// under a cardinality assumption, carrying learned clauses, variable
-	// activity, and encoded counterexamples across rungs. The A/B harness
-	// and CI smoke job flip this to measure what the sessions save, exactly
-	// as ExhaustPortfolio does for racing.
-	FreshEncode bool
-
-	// NoExchange disables the portfolio's learnt-clause exchange: ladders
-	// stop publishing glue clauses and refuter probes stop importing them.
-	// Probes and the shared best-cost bound still run. The flag exists for
-	// A/B measurement of what the exchange is worth; outcomes are identical
-	// either way, because the authoritative ladder sessions never import.
-	NoExchange bool
-
 	// QuerySink, when non-nil, enables DIMACS capture: each budget rung
 	// reports its most-conflicted SAT query (instance plus that solve's
 	// assumptions as unit clauses) for offline solver debugging. The sink
@@ -208,9 +189,9 @@ type Stats struct {
 	Lint LintStats `json:"lint"`
 
 	// Solver aggregates the CDCL/bit-blasting counters over every solver
-	// instance the compilation ran — including skeleton attempts and budget
-	// rungs that lost the race or were canceled, and the portfolio's refuter
-	// probes, so it measures total search effort, not just the winner's.
+	// instance the compilation ran — including losing or canceled skeleton
+	// attempts, failed budget rungs, and the portfolio's refuter probes, so
+	// it measures total search effort, not just the winner's.
 	Solver SolverStats `json:"solver"`
 	// Portfolio reports the parallel scheduler's activity: worker count,
 	// ladders and refuter probes run, skeletons killed by refutation or the
@@ -218,10 +199,9 @@ type Stats struct {
 	// compilation ran the sequential path (-workers 1, or Opt7 off).
 	Portfolio PortfolioStats `json:"portfolio"`
 	// Iterations is the winning budget rung's per-CEGIS-iteration trace.
-	// Solver snapshots within it are cumulative for the solver that ran the
-	// rung — the skeleton's persistent session (which may enter the rung
-	// with non-zero counters from earlier rungs), or the rung's own solver
-	// in FreshEncode mode — so they grow monotonically across the trace.
+	// Solver snapshots within it are cumulative for the skeleton's
+	// persistent session (which may enter the rung with non-zero counters
+	// from earlier rungs), so they grow monotonically across the trace.
 	Iterations []IterationStats `json:"iterations,omitempty"`
 }
 
@@ -243,9 +223,8 @@ type SolverStats struct {
 
 	// RetainedClauses sums, over every Solve call, the learned clauses
 	// alive when the call started — CDCL work reused from earlier calls in
-	// the same session rather than re-derived. Always zero in FreshEncode
-	// mode within a rung's first solve and across rungs; with incremental
-	// sessions it measures what the persistent clause database was worth.
+	// the same session rather than re-derived: what the persistent clause
+	// database was worth across CEGIS iterations and budget rungs.
 	RetainedClauses int64 `json:"retained_clauses"`
 	// ConsHits counts gate constructions the bit-blaster's hash-consing
 	// caches answered without emitting CNF — duplicate subcircuits (mostly

@@ -145,16 +145,14 @@ func runPortfolio(ctx context.Context, in portfolioInput) ([]attemptOut, Portfol
 			p.stats.SkeletonsMemoSkipped++
 			continue
 		}
-		if !in.opts.NoExchange && !in.opts.FreshEncode {
-			p.pools[i] = sat.NewExchange(0)
-			p.engs[i].exchange = p.pools[i]
-			// Tier-3 warm start: seed the pool with glue clauses a previous
-			// run of this exact formula exported. Ladders attach export-only,
-			// so seeding only ever accelerates refuter probes — the
-			// authoritative search is untouched.
-			if key := p.memoKey(i, tierGlue); key != "" {
-				p.pools[i].Seed(in.memo.GlueClauses(key))
-			}
+		p.pools[i] = sat.NewExchange(0)
+		p.engs[i].exchange = p.pools[i]
+		// Tier-3 warm start: seed the pool with glue clauses a previous run
+		// of this exact formula exported. Ladders attach export-only, so
+		// seeding only ever accelerates refuter probes — the authoritative
+		// search is untouched.
+		if key := p.memoKey(i, tierGlue); key != "" {
+			p.pools[i].Seed(in.memo.GlueClauses(key))
 		}
 	}
 
@@ -346,7 +344,7 @@ func (p *portfolio) refuterTarget() int {
 
 func (p *portfolio) runLadder(idx int) {
 	eng := p.engs[idx]
-	res, solver, err := eng.runLadder(p.ctxs[idx], p.lows[idx], p.caps[idx])
+	res, solver, err := eng.incrementalLadder(p.ctxs[idx], p.lows[idx], p.caps[idx])
 
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -31,12 +31,11 @@ type portfolioRun struct {
 	ladders int
 }
 
-func compileAtWorkers(t *testing.T, spec *pir.Spec, profile hw.Profile, workers int, noExchange bool) portfolioRun {
+func compileAtWorkers(t *testing.T, spec *pir.Spec, profile hw.Profile, workers int) portfolioRun {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.Timeout = 60 * time.Second
 	opts.Workers = workers
-	opts.NoExchange = noExchange
 	res, err := Compile(spec, profile, opts)
 	out := portfolioRun{err: err}
 	if err != nil {
@@ -121,9 +120,9 @@ func TestPortfolioDeterminismOverExampleCorpus(t *testing.T) {
 	profiles := []hw.Profile{hw.Tofino(), hw.IPU()}
 	for _, spec := range exampleSpecs(t) {
 		for _, profile := range profiles {
-			base := compileAtWorkers(t, spec, profile, 1, false)
+			base := compileAtWorkers(t, spec, profile, 1)
 			for _, w := range []int{2, 8} {
-				got := compileAtWorkers(t, spec, profile, w, false)
+				got := compileAtWorkers(t, spec, profile, w)
 				checkIdentical(t, fmt.Sprintf("%s on %s at workers=%d", spec.Name, profile.Name, w), base, got)
 			}
 		}
@@ -131,9 +130,7 @@ func TestPortfolioDeterminismOverExampleCorpus(t *testing.T) {
 }
 
 // TestPortfolioDeterminismOverRandomSpecs is the seeded-random variant of
-// the corpus sweep, plus a -no-exchange arm: disabling the clause exchange
-// must not change any outcome either, since authoritative ladders never
-// import and refuter verdicts are schedule-invariant facts.
+// the corpus sweep.
 func TestPortfolioDeterminismOverRandomSpecs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("portfolio determinism sweep")
@@ -143,11 +140,9 @@ func TestPortfolioDeterminismOverRandomSpecs(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		spec := randomSpec(rng, 7000+i)
 		for _, profile := range profiles {
-			base := compileAtWorkers(t, spec, profile, 1, false)
-			got := compileAtWorkers(t, spec, profile, 4, false)
+			base := compileAtWorkers(t, spec, profile, 1)
+			got := compileAtWorkers(t, spec, profile, 4)
 			checkIdentical(t, fmt.Sprintf("%s on %s at workers=4", spec.Name, profile.Name), base, got)
-			noEx := compileAtWorkers(t, spec, profile, 4, true)
-			checkIdentical(t, fmt.Sprintf("%s on %s at workers=4 -no-exchange", spec.Name, profile.Name), base, noEx)
 		}
 	}
 }
@@ -173,12 +168,12 @@ func TestPortfolioExchangeUnderContention(t *testing.T) {
 		if !ok {
 			t.Fatalf("benchmark %q not in the suite", name)
 		}
-		base := compileAtWorkers(t, b.Spec, profile, 1, false)
+		base := compileAtWorkers(t, b.Spec, profile, 1)
 		if base.err != nil {
 			t.Fatalf("%s: sequential compile failed: %v", name, base.err)
 		}
 		for rep := 0; rep < 2; rep++ {
-			got := compileAtWorkers(t, b.Spec, profile, 8, false)
+			got := compileAtWorkers(t, b.Spec, profile, 8)
 			checkIdentical(t, fmt.Sprintf("%s rep %d", name, rep), base, got)
 			if got.err == nil && got.ladders < 1 {
 				t.Errorf("%s rep %d: portfolio ran no ladders", name, rep)

@@ -96,9 +96,9 @@ func (v *verifier) counterexample(prog *tcam.Program) (cex bitstream.Bits, found
 // counterexampleStop is counterexample with a cancellation hook: stop (when
 // non-nil) is polled periodically and aborts the search. An aborted search
 // reports interrupted=true and MUST NOT be read as "no counterexample
-// exists" — the candidate was simply not fully checked. Callers that race
-// budget runners rely on this distinction to avoid accepting an unverified
-// program when their sibling wins.
+// exists" — the candidate was simply not fully checked. Callers rely on
+// this distinction to avoid accepting an unverified program when the
+// compile is canceled.
 func (v *verifier) counterexampleStop(prog *tcam.Program, stop func() bool) (cex bitstream.Bits, found, exhaustive, interrupted bool) {
 	k := v.maxIterBudget()
 	check := func(in bitstream.Bits) bool {
