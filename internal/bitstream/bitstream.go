@@ -68,10 +68,16 @@ func MustFromString(s string) Bits {
 // Random returns n uniformly random bits drawn from rng.
 func Random(rng *rand.Rand, n int) Bits {
 	b := make(Bits, n)
+	b.Randomize(rng)
+	return b
+}
+
+// Randomize overwrites b with uniformly random bits drawn from rng, making
+// the same draws as Random(rng, len(b)).
+func (b Bits) Randomize(rng *rand.Rand) {
 	for i := range b {
 		b[i] = byte(rng.Intn(2))
 	}
-	return b
 }
 
 // Uint interprets b[from:from+width] as a big-endian unsigned integer.

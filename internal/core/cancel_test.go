@@ -179,4 +179,17 @@ func TestStatsSolverCountersLiveAndMonotone(t *testing.T) {
 		t.Errorf("VerifyTime=%v does not exceed the traced synthesis-spec checks (%v): re-checks untimed",
 			st.VerifyTime, traced)
 	}
+	// EncodeTime covers the CEGIS example encoding: every compile encodes
+	// at least the §5.2 seed examples, and the trace's per-iteration
+	// shares add up to the winning rung's total.
+	if st.TestCases > 0 && st.EncodeTime <= 0 {
+		t.Errorf("EncodeTime=%v with %d examples: example encoding untimed", st.EncodeTime, st.TestCases)
+	}
+	var encoded time.Duration
+	for _, it := range st.Iterations {
+		encoded += it.EncodeTime
+	}
+	if encoded != st.EncodeTime {
+		t.Errorf("per-iteration EncodeTime sums to %v, Stats.EncodeTime=%v", encoded, st.EncodeTime)
+	}
 }

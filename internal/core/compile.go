@@ -651,7 +651,7 @@ func (eng *skeletonEngine) refuteStatus(ctx context.Context, capN int, seed int6
 }
 
 // assemble merges the winning rung's result with the effort of every other
-// rung attempted on this skeleton: synthesis/verify times and CEGIS
+// rung attempted on this skeleton: synthesis/encode/verify times and CEGIS
 // iteration counts are summed (they measure work done), and SolverStats
 // totals every rung's solver effort.
 func (eng *skeletonEngine) assemble(w *rungResult, collected []*rungResult) (*Result, SolverStats, error) {
@@ -661,6 +661,7 @@ func (eng *skeletonEngine) assemble(w *rungResult, collected []*rungResult) (*Re
 		total.Add(r.stats.Solver)
 		if r != w {
 			st.SynthesisTime += r.stats.SynthesisTime
+			st.EncodeTime += r.stats.EncodeTime
 			st.VerifyTime += r.stats.VerifyTime
 			st.CEGISIterations += r.stats.CEGISIterations
 		}
@@ -801,11 +802,13 @@ func (eng *skeletonEngine) runBudget(ctx context.Context, budget int, env *budge
 			}
 			sy.fed++
 		}
+		encodeTime := time.Since(tb)
+		out.stats.EncodeTime += encodeTime
 		// Tag clauses learned from here on with the example count they were
 		// derived under; the portfolio exchange filters imports by it.
 		sy.sess.SetEpoch(sy.fed)
 		if eng.debug {
-			fmt.Fprintf(os.Stderr, "  [b=%d] build=%.2fs vars=%d\n", budget, time.Since(tb).Seconds(), sy.s.NumVars())
+			fmt.Fprintf(os.Stderr, "  [b=%d] build=%.2fs vars=%d\n", budget, encodeTime.Seconds(), sy.s.NumVars())
 		}
 		t0 := time.Now()
 		status := sy.solveAt(budget, stop)
@@ -813,11 +816,12 @@ func (eng *skeletonEngine) runBudget(ctx context.Context, budget int, env *budge
 		out.stats.SynthesisTime += solveTime
 		capture(status)
 		iter := IterationStats{
-			Budget:    budget,
-			Examples:  sy.fed,
-			Status:    status.String(),
-			SolveTime: solveTime,
-			Solver:    solverSnapshot(sy.s),
+			Budget:     budget,
+			Examples:   sy.fed,
+			Status:     status.String(),
+			EncodeTime: encodeTime,
+			SolveTime:  solveTime,
+			Solver:     solverSnapshot(sy.s),
 		}
 		if eng.debug {
 			fmt.Fprintf(os.Stderr, "  [b=%d] solve=%.2fs status=%v\n", budget, solveTime.Seconds(), status)

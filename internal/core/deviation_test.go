@@ -152,12 +152,10 @@ func TestDirectedSuiteCatchesInteriorHopDeviation(t *testing.T) {
 	// The deterministic one-deviation suite alone must expose the wrong
 	// interior mask bit — no reliance on random sampling luck.
 	caught := false
-	for _, in := range v.directedSuite() {
-		if !bad.Run(in, k).Same(spec.Run(in, k)) {
-			caught = true
-			break
-		}
-	}
+	v.directedSuite(func(in bitstream.Bits) bool {
+		caught = !bad.Run(in, k).Same(spec.Run(in, k))
+		return !caught
+	})
 	if !caught {
 		t.Fatal("one-deviation directed suite missed the wrong interior-hop mask bit")
 	}

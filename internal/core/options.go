@@ -180,6 +180,7 @@ type Stats struct {
 	SolverVars      int           `json:"solver_vars"`       // CNF variables of the final successful query
 	Elapsed         time.Duration `json:"elapsed"`           // wall-clock compile time
 	SynthesisTime   time.Duration `json:"synthesis_time"`
+	EncodeTime      time.Duration `json:"encode_time"` // encoding CEGIS examples into the synthesis query
 	VerifyTime      time.Duration `json:"verify_time"`
 	TestCases       int           `json:"test_cases"` // final size of the CEGIS example set
 
@@ -356,13 +357,14 @@ type QueryDump struct {
 }
 
 // IterationStats records one CEGIS iteration of one budget rung: the
-// wall time split between the synthesis solve and the verification search,
-// and a cumulative snapshot of the rung's solver counters taken right
-// after the iteration's solve returned.
+// wall time split between encoding new examples, the synthesis solve and
+// the verification search, and a cumulative snapshot of the rung's solver
+// counters taken right after the iteration's solve returned.
 type IterationStats struct {
 	Budget     int           `json:"budget"`
-	Examples   int           `json:"examples"` // CEGIS examples fed before this solve
-	Status     string        `json:"status"`   // sat, unsat, or canceled
+	Examples   int           `json:"examples"`    // CEGIS examples fed before this solve
+	Status     string        `json:"status"`      // sat, unsat, or canceled
+	EncodeTime time.Duration `json:"encode_time"` // encoding the examples fed before this solve
 	SolveTime  time.Duration `json:"solve_time"`
 	VerifyTime time.Duration `json:"verify_time"`
 	Solver     SolverStats   `json:"solver"` // cumulative within this runner

@@ -25,6 +25,18 @@ type verifier struct {
 	// window realizations for directed input generation
 	layouts []layout
 	keys    [][]skelKeyPart
+
+	// The verifier's only interpreters: the spec compiled once, each
+	// candidate compiled once per check (both against slots), the outcomes
+	// they write into, and one input buffer that enumeration and the input
+	// generators refill. Like the RNG they make the verifier single-
+	// goroutine; each budgetEnv owns its verifiers.
+	slots            *pir.Slots
+	specM            *pir.Machine
+	specOut, progOut pir.Outcome
+	trace            pir.Outcome // KeepPath: the path directedInput steers
+	in               bitstream.Bits
+	walk             walker
 }
 
 func newVerifier(spec *pir.Spec, opts Options, seed int64) (*verifier, error) {
@@ -57,6 +69,11 @@ func newVerifier(spec *pir.Spec, opts Options, seed int64) (*verifier, error) {
 		v.maxLen = 1
 	}
 	v.budget = v.maxLen + len(spec.States) + 4
+	v.slots = pir.NewSlots(spec)
+	v.specM = pir.NewMachine(spec, v.slots)
+	v.trace.KeepPath = true
+	v.in = make(bitstream.Bits, v.maxLen)
+	v.walk = newWalker(spec, v.slots)
 	back, err := backoffs(spec)
 	if err != nil {
 		return nil, err
@@ -99,23 +116,36 @@ func (v *verifier) counterexample(prog *tcam.Program) (cex bitstream.Bits, found
 // exists" — the candidate was simply not fully checked. Callers rely on
 // this distinction to avoid accepting an unverified program when the
 // compile is canceled.
+//
+// Every candidate input lands in the reused buffer v.in, so a returned
+// counterexample is always a fresh copy: the example set keeps it.
 func (v *verifier) counterexampleStop(prog *tcam.Program, stop func() bool) (cex bitstream.Bits, found, exhaustive, interrupted bool) {
 	k := v.maxIterBudget()
+	progM := tcam.NewMachine(prog, v.slots)
 	check := func(in bitstream.Bits) bool {
-		return !prog.Run(in, k).Same(v.spec.Run(in, k))
+		progM.Exec(in, k, &v.progOut)
+		v.specM.Exec(in, k, &v.specOut)
+		return !v.progOut.Same(&v.specOut, in)
 	}
 	stopped := func(i int) bool {
 		return stop != nil && i&63 == 0 && stop()
 	}
+	in := v.in
 	if v.maxLen <= v.opts.ExhaustiveVerifyBits {
+		// in holds x as a big-endian maxLen-bit number, counting up from 0.
+		clear(in)
 		n := uint64(1) << uint(v.maxLen)
 		for x := uint64(0); x < n; x++ {
 			if stopped(int(x)) {
 				return nil, false, false, true
 			}
-			in := bitstream.FromUint(x, v.maxLen)
 			if check(in) {
-				return in, true, true, false
+				return in.Clone(), true, true, false
+			}
+			for i := len(in) - 1; i >= 0; i-- {
+				if in[i] ^= 1; in[i] == 1 {
+					break
+				}
 			}
 		}
 		return nil, false, true, false
@@ -123,31 +153,42 @@ func (v *verifier) counterexampleStop(prog *tcam.Program, stop func() bool) (cex
 	// Deterministic per-rule coverage first: one input per (path rule,
 	// state rule) combination. These catch wide-key mistakes that random
 	// sampling would hit with probability 2^-keyWidth.
-	for i, in := range v.directedSuite() {
+	i := 0
+	v.directedSuite(func(in bitstream.Bits) bool {
 		if stopped(i) {
-			return nil, false, false, true
+			interrupted = true
+			return false
 		}
+		i++
 		if check(in) {
-			return in, true, false, false
+			cex = in.Clone()
+			return false
 		}
+		return true
+	})
+	if interrupted {
+		return nil, false, false, true
+	}
+	if cex != nil {
+		return cex, true, false, false
 	}
 	// Then stochastic directed walks and uniform random sampling.
 	for i := 0; i < v.opts.VerifySamples/2; i++ {
 		if stopped(i) {
 			return nil, false, false, true
 		}
-		in := v.directedInput()
+		v.directedInput(in)
 		if check(in) {
-			return in, true, false, false
+			return in.Clone(), true, false, false
 		}
 	}
 	for i := 0; i < v.opts.VerifySamples/2; i++ {
 		if stopped(i) {
 			return nil, false, false, true
 		}
-		in := bitstream.Random(v.rng, v.maxLen)
+		in.Randomize(v.rng)
 		if check(in) {
-			return in, true, false, false
+			return in.Clone(), true, false, false
 		}
 	}
 	return nil, false, false, false
@@ -160,7 +201,10 @@ func (v *verifier) counterexampleStop(prog *tcam.Program, stop func() bool) (cex
 // target rule's own pattern. Because a written pattern can overlap bits
 // that influenced earlier hops, the walk re-simulates up to three times
 // until it stabilizes.
-func (v *verifier) directedSuite() []bitstream.Bits {
+//
+// Each input is built in v.in and handed to visit, which must not keep
+// it; the suite stops early when visit returns false.
+func (v *verifier) directedSuite(visit func(bitstream.Bits) bool) {
 	// Steering table: for each state, a rule index (or -1 for default)
 	// leading one hop closer to each other state, computed by BFS.
 	type hop struct {
@@ -204,7 +248,33 @@ func (v *verifier) directedSuite() []bitstream.Bits {
 		return states, rules, true
 	}
 
-	var suite []bitstream.Bits
+	in, w := v.in, &v.walk
+	var window []int     // absolute positions of s's key window
+	var pathWindow []int // key windows of the interior hops
+	var dontcare []int   // target rule's masked-out window positions
+	collect := func(si int, dst []int) []int {
+		for _, p := range v.keys[si] {
+			for j := 0; j < p.BitWidth(); j++ {
+				if ip := w.pos + p.RelOff + j; ip >= 0 && ip < len(in) {
+					dst = append(dst, ip)
+				}
+			}
+		}
+		return dst
+	}
+	step := func(si, rule int) {
+		if rule >= 0 && rule < len(v.spec.States[si].Rules) {
+			v.writePatternAll(in, w.pos, si, v.spec.States[si].Rules[rule])
+		}
+		w.extract(in, si)
+	}
+	// flip visits in with bit ip inverted, then restores it.
+	flip := func(ip int) bool {
+		in[ip] ^= 1
+		ok := visit(in)
+		in[ip] ^= 1
+		return ok
+	}
 	for s := range v.spec.States {
 		states, rules, ok := pathTo(s)
 		if !ok && s != 0 {
@@ -212,33 +282,9 @@ func (v *verifier) directedSuite() []bitstream.Bits {
 		}
 		// One input per rule of s, plus one for the default.
 		for target := -1; target < len(v.spec.States[s].Rules); target++ {
-			in := make(bitstream.Bits, v.maxLen)
-			var window []int     // absolute positions of s's key window
-			var pathWindow []int // key windows of the interior hops
-			var dontcare []int   // target rule's masked-out window positions
+			clear(in)
 			for pass := 0; pass < 3; pass++ {
-				pos := 0
-				dict := bitstream.Dict{}
-				collect := func(si int, dst []int) []int {
-					for _, p := range v.keys[si] {
-						for j := 0; j < p.BitWidth(); j++ {
-							if ip := pos + p.RelOff + j; ip >= 0 && ip < len(in) {
-								dst = append(dst, ip)
-							}
-						}
-					}
-					return dst
-				}
-				step := func(si, rule int) {
-					if rule >= 0 && rule < len(v.spec.States[si].Rules) {
-						v.writePatternAll(in, pos, si, v.spec.States[si].Rules[rule])
-					}
-					for _, e := range v.spec.States[si].Extracts {
-						w := extractWidthFor(v.spec, e, dict)
-						dict[e.Field] = in.Slice(pos, w)
-						pos += w
-					}
-				}
+				w.reset()
 				pathWindow = pathWindow[:0]
 				for i, si := range states {
 					pathWindow = collect(si, pathWindow)
@@ -246,21 +292,23 @@ func (v *verifier) directedSuite() []bitstream.Bits {
 				}
 				window = collect(s, window[:0])
 				if target >= 0 {
-					dontcare = v.dontcarePositions(in, pos, s, v.spec.States[s].Rules[target])
+					dontcare = v.dontcarePositions(in, w.pos, s, v.spec.States[s].Rules[target])
 				} else {
 					dontcare = nil
 				}
 				step(s, target)
 			}
-			suite = append(suite, in)
+			if !visit(in) {
+				return
+			}
 			// Near-miss neighbours: flip each bit of s's key window. A TCAM
 			// entry with a wrong mask bit is indistinguishable from a right
 			// one on exact rule patterns; it always differs on a one-bit
 			// neighbour.
 			for _, ip := range window {
-				flipped := in.Clone()
-				flipped[ip] ^= 1
-				suite = append(suite, flipped)
+				if !flip(ip) {
+					return
+				}
 			}
 			// One-deviation path coverage: also flip each bit of every
 			// interior hop's key window while the rest of the path stays on
@@ -270,9 +318,9 @@ func (v *verifier) directedSuite() []bitstream.Bits {
 			// to match, and that is exactly the combination these inputs
 			// provide (deviating hop, exact downstream patterns).
 			for _, ip := range pathWindow {
-				flipped := in.Clone()
-				flipped[ip] ^= 1
-				suite = append(suite, flipped)
+				if !flip(ip) {
+					return
+				}
 			}
 			// Don't-care-plane coverage: the base pattern leaves a rule's
 			// masked-out bits at whatever the walk produced (usually 0),
@@ -285,21 +333,19 @@ func (v *verifier) directedSuite() []bitstream.Bits {
 			// exactly where a dropped mask conjunct first becomes
 			// observable.
 			for _, dp := range dontcare {
-				dflip := in.Clone()
-				dflip[dp] ^= 1
-				suite = append(suite, dflip)
-				for _, ip := range window {
-					if ip == dp {
-						continue
-					}
-					both := dflip.Clone()
-					both[ip] ^= 1
-					suite = append(suite, both)
+				in[dp] ^= 1
+				if !visit(in) {
+					return
 				}
+				for _, ip := range window {
+					if ip != dp && !flip(ip) {
+						return
+					}
+				}
+				in[dp] ^= 1
 			}
 		}
 	}
-	return suite
 }
 
 // dontcarePositions returns the in-range absolute input positions of the
@@ -350,30 +396,24 @@ func (v *verifier) writePatternAll(in bitstream.Bits, pos, si int, r pir.Rule) {
 	}
 }
 
-// directedInput builds a random input, then repeatedly simulates the spec
-// and overwrites the key windows along the visited trajectory with
+// directedInput fills in with a random input, then repeatedly runs the
+// spec machine and overwrites the key windows along the visited path with
 // randomly chosen rule patterns, so execution explores deep transitions
-// instead of falling into defaults. Each pass re-simulates because a
-// write may redirect the path.
-func (v *verifier) directedInput() bitstream.Bits {
-	in := bitstream.Random(v.rng, v.maxLen)
+// instead of falling into defaults. Each pass re-runs because a write may
+// redirect the path.
+func (v *verifier) directedInput(in bitstream.Bits) {
+	in.Randomize(v.rng)
 	for pass := 0; pass < 3; pass++ {
-		res := v.spec.Run(in, v.maxIterBudget())
-		pos := 0
-		dict := bitstream.Dict{}
-		for _, si := range res.Path {
+		v.specM.Exec(in, v.maxIterBudget(), &v.trace)
+		v.walk.reset()
+		for _, si := range v.trace.Path {
 			st := &v.spec.States[si]
 			if len(st.Rules) > 0 && v.rng.Intn(4) != 0 {
-				v.writePattern(in, pos, si, st.Rules[v.rng.Intn(len(st.Rules))])
+				v.writePattern(in, v.walk.pos, si, st.Rules[v.rng.Intn(len(st.Rules))])
 			}
-			for _, e := range st.Extracts {
-				w := extractWidthFor(v.spec, e, dict)
-				dict[e.Field] = in.Slice(pos, w)
-				pos += w
-			}
+			v.walk.extract(in, si)
 		}
 	}
-	return in
 }
 
 // writePattern writes rule.Value (where rule.Mask is set) into the
@@ -400,20 +440,56 @@ func (v *verifier) writePattern(in bitstream.Bits, pos, si int, r pir.Rule) {
 	}
 }
 
-func extractWidthFor(spec *pir.Spec, e pir.Extract, dict bitstream.Dict) int {
-	f, _ := spec.Field(e.Field)
-	if e.LenField == "" {
-		return f.Width
+// walker replays the spec's extractions along a state sequence the input
+// generators prescribe, tracking the cursor. Like the dictionary of the
+// reference interpreter it captures each length field's value when the
+// field is extracted, so a generator rewriting those bits later (directed
+// patterns do rewrite history) does not reach back into varbit widths.
+type walker struct {
+	extracts [][]pir.SlotExtract // per spec state
+	isLen    []bool              // per slot: some extraction's length field
+	lenVal   []uint64            // per slot: captured value, 0 until extracted
+	pos      int
+}
+
+func newWalker(spec *pir.Spec, ns *pir.Slots) walker {
+	w := walker{extracts: make([][]pir.SlotExtract, len(spec.States))}
+	for i := range spec.States {
+		for _, e := range spec.States[i].Extracts {
+			w.extracts[i] = append(w.extracts[i], ns.Extract(spec, e))
+		}
 	}
-	lf, _ := spec.Field(e.LenField)
-	n := int(dict[e.LenField].Uint(0, lf.Width))*e.LenScale + e.LenBias
-	if n < 0 {
-		n = 0
+	w.isLen = make([]bool, ns.Len())
+	w.lenVal = make([]uint64, ns.Len())
+	for _, xs := range w.extracts {
+		for _, x := range xs {
+			if x.LenSlot >= 0 {
+				w.isLen[x.LenSlot] = true
+			}
+		}
 	}
-	if n > f.Width {
-		n = f.Width
+	return w
+}
+
+func (w *walker) reset() {
+	w.pos = 0
+	clear(w.lenVal)
+}
+
+// extract advances the cursor over state si's extractions on in.
+func (w *walker) extract(in bitstream.Bits, si int) {
+	for i := range w.extracts[si] {
+		x := &w.extracts[si][i]
+		var lv uint64
+		if x.LenSlot >= 0 {
+			lv = w.lenVal[x.LenSlot]
+		}
+		n := x.Len(lv)
+		if w.isLen[x.Slot] {
+			w.lenVal[x.Slot] = pir.FieldUint(in, w.pos, n, 0, x.Width)
+		}
+		w.pos += n
 	}
-	return n
 }
 
 // randomInput returns a uniformly random input of the verifier's maximum

@@ -11,6 +11,11 @@
 //     (PH002) must never fire, and a default certified dead (PH003) must
 //     never be taken, on any observed execution of the spec.
 //
+// On every packet it also runs the compiled machines the compiler's
+// verifier uses in place of oracles 1 and 2, and requires their
+// equivalence verdict to match the reference interpreters' — so the
+// verifier's interpreter is itself checked against an independent one.
+//
 // Any disagreement is a Divergence. Divergences shrink (Shrink) by
 // delta-debugging over states, rules, extracts, key parts, and fields,
 // re-validating the divergence at every step, and render as ready-to-commit
@@ -41,6 +46,10 @@ const (
 	// KindLint: a SAT-certified lint verdict is refuted by an observed
 	// execution of the spec.
 	KindLint Kind = "lint-vs-observed"
+	// KindMachine: the compiled interpreters the CEGIS verifier judges
+	// candidates with (pir.Machine, tcam.Machine) reach a different
+	// spec-vs-program verdict than the reference interpreters.
+	KindMachine Kind = "machine-vs-reference"
 )
 
 // Outcome classifies one Check run.
@@ -107,7 +116,7 @@ type Divergence struct {
 	Trail      string
 	Input      bitstream.Bits
 	SpecResult pir.Result
-	ProgResult pir.Result // KindSemantics only
+	ProgResult pir.Result // KindSemantics and KindMachine only
 	Claim      lint.Diag  // KindLint only: the refuted verdict
 	Detail     string
 }
@@ -211,6 +220,10 @@ func Check(cfg Config, spec *pir.Spec, maxIter int) (*Divergence, Outcome, error
 		packets = 1 << uint(maxLen)
 	}
 
+	ns := pir.NewSlots(contract)
+	contractM, progM := pir.NewMachine(contract, ns), tcam.NewMachine(prog, ns)
+	var contractOut, progOut pir.Outcome
+
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for i := 0; i < packets; i++ {
 		var in bitstream.Bits
@@ -239,6 +252,21 @@ func Check(cfg Config, spec *pir.Spec, maxIter int) (*Divergence, Outcome, error
 					contractRes.Accepted, contractRes.Rejected,
 					progRes.Accepted, progRes.Rejected,
 					contractRes.Dict.Diff(progRes.Dict)),
+			}, Diverged, nil
+		}
+		contractM.Exec(in, runIter, &contractOut)
+		progM.Exec(in, runIter, &progOut)
+		if got, want := progOut.Same(&contractOut, in), progRes.Same(contractRes); got != want {
+			return &Divergence{
+				Kind:       KindMachine,
+				Spec:       spec,
+				Profile:    cfg.Profile.Name,
+				Input:      in,
+				SpecResult: contractRes,
+				ProgResult: progRes,
+				Detail: fmt.Sprintf(
+					"machines say equivalent=%v (spec accept=%v reject=%v, program accept=%v reject=%v), reference says equivalent=%v",
+					got, contractOut.Accepted, contractOut.Rejected, progOut.Accepted, progOut.Rejected, want),
 			}, Diverged, nil
 		}
 

@@ -3,12 +3,13 @@ package fuzz
 // Native go test -fuzz targets. They run their seed corpora (f.Add plus
 // testdata/fuzz/<Name>/) on every plain `go test`, and explore with the
 // coverage-guided engine under `go test -fuzz=FuzzSpecInterp` /
-// `-fuzz=FuzzCanonicalize`. Unlike the differential campaign (which needs a
-// compile per spec), these targets exercise only front-end invariants —
-// parse, interpret, canonicalize — so the engine gets millions of
-// executions per minute.
+// `-fuzz=FuzzMachineMatchesReference` / `-fuzz=FuzzCanonicalize`. Unlike
+// the differential campaign (which needs a compile per spec), these
+// targets exercise only front-end invariants — parse, interpret,
+// canonicalize — so the engine gets millions of executions per minute.
 
 import (
+	"slices"
 	"testing"
 
 	"parserhawk/internal/bitstream"
@@ -62,6 +63,30 @@ parser SeedC {
 }
 `
 
+// fuzzSeedSrcD mixes a varbit extraction, a key over the varbit field,
+// and a lookahead window that can run past the end of the packet.
+const fuzzSeedSrcD = `
+header h   { bit<2> n; bit<1> more; }
+header opt { bit<1> k; varbit<6> data; }
+parser SeedD {
+    state start {
+        extract(h);
+        transition select(h.more, lookahead<bit<3>>()) {
+            (1, 5)  : parse_opt;
+            (0, 7)  : reject;
+            default : accept;
+        }
+    }
+    state parse_opt {
+        extract(opt, h.n * 2);
+        transition select(opt.data[5:3]) {
+            2       : start;
+            default : accept;
+        }
+    }
+}
+`
+
 // FuzzSpecInterp fuzzes the §4 reference interpreter: any source the P4
 // front end accepts must interpret without panicking, and Run, RunTrace,
 // and the consumption bound must stay mutually consistent.
@@ -103,6 +128,49 @@ func FuzzSpecInterp(f *testing.F) {
 		}
 		if bound := spec.MaxConsumedBits(maxIter); res.Consumed > bound {
 			t.Fatalf("consumed %d bits, static bound says at most %d", res.Consumed, bound)
+		}
+	})
+}
+
+// FuzzMachineMatchesReference fuzzes the compiled spec interpreter the
+// CEGIS verifier uses against the §4 reference interpreter: same verdict,
+// path and dictionary, and Outcome.Same must agree with
+// Result.Same between the run and a run under a tighter iteration budget.
+func FuzzMachineMatchesReference(f *testing.F) {
+	f.Add(fuzzSeedSrcA, []byte{0x4a}, 0)
+	f.Add(fuzzSeedSrcB, []byte{0x55, 0xaa}, 8)
+	f.Add(fuzzSeedSrcC, []byte{0xff, 0x00}, 3)
+	f.Add(fuzzSeedSrcD, []byte{0xb7, 0x5d, 0x40}, 0)
+	f.Add(fuzzSeedSrcD, []byte{0x3f}, 2)
+	f.Fuzz(func(t *testing.T, src string, packet []byte, maxIter int) {
+		spec, err := p4.ParseSpec(src)
+		if err != nil {
+			t.Skip()
+		}
+		if maxIter < 0 || maxIter > 4*pir.DefaultMaxIterations {
+			maxIter = 0
+		}
+		in := bitstream.FromBytes(packet)
+		ns := pir.NewSlots(spec)
+		m := pir.NewMachine(spec, ns)
+		o := &pir.Outcome{KeepPath: true}
+		ref := spec.Run(in, maxIter)
+		m.Exec(in, maxIter, o)
+		if o.Accepted != ref.Accepted || o.Rejected != ref.Rejected {
+			t.Fatalf("verdicts differ: machine accept=%v reject=%v, reference %+v",
+				o.Accepted, o.Rejected, ref)
+		}
+		if !slices.Equal(o.Path, ref.Path) {
+			t.Fatalf("paths differ: machine %v, reference %v", o.Path, ref.Path)
+		}
+		if d := o.Dict(in); !d.Equal(ref.Dict) {
+			t.Fatalf("dictionaries differ: %s", d.Diff(ref.Dict))
+		}
+		tight := 1 + len(ref.Path)/2
+		var p pir.Outcome
+		m.Exec(in, tight, &p)
+		if got, want := o.Same(&p, in), ref.Same(spec.Run(in, tight)); got != want {
+			t.Fatalf("Outcome.Same=%v, Result.Same=%v against maxIter %d", got, want, tight)
 		}
 	})
 }

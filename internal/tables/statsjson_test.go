@@ -36,6 +36,7 @@ func TestRunStatsRoundTrip(t *testing.T) {
 				SolverVars:      15034,
 				Elapsed:         1250 * time.Millisecond,
 				SynthesisTime:   900 * time.Millisecond,
+				EncodeTime:      100 * time.Millisecond,
 				VerifyTime:      200 * time.Millisecond,
 				TestCases:       11,
 				Solver: core.SolverStats{
@@ -53,9 +54,9 @@ func TestRunStatsRoundTrip(t *testing.T) {
 				Iterations: []core.IterationStats{
 					{Budget: 6, Examples: 2, Status: "unsat", SolveTime: 10 * time.Millisecond,
 						Solver: core.SolverStats{Solves: 1, Decisions: 100}},
-					{Budget: 7, Examples: 2, Status: "sat", SolveTime: 80 * time.Millisecond,
-						VerifyTime: 5 * time.Millisecond,
-						Solver:     core.SolverStats{Solves: 1, Decisions: 900, Conflicts: 12}},
+					{Budget: 7, Examples: 2, Status: "sat", EncodeTime: 3 * time.Millisecond,
+						SolveTime: 80 * time.Millisecond, VerifyTime: 5 * time.Millisecond,
+						Solver: core.SolverStats{Solves: 1, Decisions: 900, Conflicts: 12}},
 				},
 			},
 		},

@@ -97,12 +97,20 @@ type Program struct {
 
 // Lookup returns the state at (table, id), or nil.
 func (p *Program) Lookup(table, id int) *State {
-	for i := range p.States {
-		if p.States[i].Table == table && p.States[i].ID == id {
-			return &p.States[i]
-		}
+	if i := p.index(table, id); i >= 0 {
+		return &p.States[i]
 	}
 	return nil
+}
+
+// index returns the index of the first state at (table, id), or -1.
+func (p *Program) index(table, id int) int {
+	for i := range p.States {
+		if p.States[i].Table == table && p.States[i].ID == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // Resources summarises hardware resource consumption.
